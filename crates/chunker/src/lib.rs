@@ -33,10 +33,8 @@
 #![warn(missing_docs)]
 
 pub mod cdc;
-pub mod fixed;
 pub mod gear;
 pub mod sketch;
 
 pub use cdc::{Chunk, ChunkerConfig, ChunkerKind, ContentChunker};
-pub use fixed::fixed_chunks;
 pub use sketch::{Sketch, SketchExtractor};

@@ -10,7 +10,7 @@ use crate::pipeline::{InsertPreparer, PreparedInsert};
 use crate::repair::RepairSource;
 use bytes::Bytes;
 use dbdedup_cache::{PendingWriteback, SourceRecordCache, WritebackCache};
-use dbdedup_chunker::SketchExtractor;
+use dbdedup_chunker::{Sketch, SketchExtractor};
 use dbdedup_delta::ops::DeltaError;
 use dbdedup_delta::{reencode, DbDeltaConfig, DbDeltaEncoder, Delta};
 use dbdedup_encoding::{ChainManager, Writeback};
@@ -18,7 +18,7 @@ use dbdedup_index::{
     CuckooConfig, FeatureIndex, PartitionedIndex, TieredConfig, TieredFeatureIndex, TieredStats,
 };
 use dbdedup_obs::{EventKind, EventLog, FlightRecorder, Severity, Stage, StageSet, StageTracer};
-use dbdedup_storage::oplog::{CursorGap, DurableOplog};
+use dbdedup_storage::oplog::CursorGap;
 use dbdedup_storage::store::{CompactStats, RecordStore, StorageForm, StoreConfig, StoreError};
 use dbdedup_storage::{IoMeter, Oplog, OplogEntry, OplogKind, OplogPayload};
 use dbdedup_util::hash::crc32::crc32;
@@ -56,63 +56,6 @@ pub enum EngineError {
     /// A replica's background apply thread panicked (replication halted;
     /// the affected secondary needs a resync).
     ReplicaPanicked(String),
-}
-
-/// In-memory or durable oplog, behind one interface.
-enum OplogBackend {
-    Mem(Oplog),
-    Durable(DurableOplog),
-}
-
-impl OplogBackend {
-    fn append(&mut self, kind: OplogKind) -> Result<(u64, usize), EngineError> {
-        match self {
-            OplogBackend::Mem(o) => Ok(o.append(kind)),
-            OplogBackend::Durable(o) => o.append(kind).map_err(EngineError::Oplog),
-        }
-    }
-
-    fn take_batch(&mut self, max_bytes: usize) -> Vec<OplogEntry> {
-        match self {
-            OplogBackend::Mem(o) => o.take_batch(max_bytes),
-            OplogBackend::Durable(o) => o.take_batch(max_bytes),
-        }
-    }
-
-    fn pending(&self) -> usize {
-        match self {
-            OplogBackend::Mem(o) => o.pending(),
-            OplogBackend::Durable(o) => o.pending(),
-        }
-    }
-
-    fn read_from(&self, from_lsn: u64, max_bytes: usize) -> Result<Vec<OplogEntry>, CursorGap> {
-        match self {
-            OplogBackend::Mem(o) => o.read_from(from_lsn, max_bytes),
-            OplogBackend::Durable(o) => o.read_from(from_lsn, max_bytes),
-        }
-    }
-
-    fn ack_shipped(&mut self, lsn: u64) {
-        match self {
-            OplogBackend::Mem(o) => o.ack_shipped(lsn),
-            OplogBackend::Durable(o) => o.ack_shipped(lsn),
-        }
-    }
-
-    fn next_lsn(&self) -> u64 {
-        match self {
-            OplogBackend::Mem(o) => o.next_lsn(),
-            OplogBackend::Durable(o) => o.next_lsn(),
-        }
-    }
-
-    fn floor_lsn(&self) -> u64 {
-        match self {
-            OplogBackend::Mem(o) => o.floor_lsn(),
-            OplogBackend::Durable(o) => o.floor_lsn(),
-        }
-    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -192,6 +135,32 @@ pub enum RededupOutcome {
     Skipped,
 }
 
+/// Why the dedup planner kept a record raw.
+#[derive(Debug, Clone, Copy)]
+enum UniqueReason {
+    /// No indexed record shares a feature with this one.
+    NoCandidate,
+    /// The best candidate's content could not be fetched (corrupt or gone).
+    SourceUnavailable,
+    /// The forward delta saves less than `min_benefit_bytes`.
+    BelowBenefit,
+}
+
+/// The dedup decision for one record (steps ②–④ of Fig. 3).
+enum Plan {
+    /// Store the record raw.
+    Unique(UniqueReason),
+    /// Delta-encode the record against `source`.
+    Deduped {
+        /// The selected source record.
+        source: RecordId,
+        /// The source's full content, the base of `forward`.
+        src_content: Bytes,
+        /// Forward delta from `src_content` to the record.
+        forward: Delta,
+    },
+}
+
 /// Outcome of one budgeted tiered-index merge slice
 /// ([`DedupEngine::index_merge_step`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -255,7 +224,7 @@ impl SlotTable {
 pub struct DedupEngine {
     config: EngineConfig,
     store: RecordStore,
-    oplog: OplogBackend,
+    oplog: Oplog,
     extractor: SketchExtractor,
     encoder: DbDeltaEncoder,
     index: PartitionedIndex<TieredFeatureIndex>,
@@ -385,14 +354,11 @@ impl DedupEngine {
             },
             ..Default::default()
         });
-        let oplog = match &config.oplog_path {
-            Some(path) => {
-                let mut log = DurableOplog::open(path).map_err(EngineError::Oplog)?;
-                log.set_retention(config.oplog_retain_bytes);
-                OplogBackend::Durable(log)
-            }
-            None => OplogBackend::Mem(Oplog::with_retention(config.oplog_retain_bytes)),
+        let mut oplog = match &config.oplog_path {
+            Some(path) => Oplog::open(path).map_err(EngineError::Oplog)?,
+            None => Oplog::new(),
         };
+        oplog.set_retention(config.oplog_retain_bytes);
         // Restart over an existing store: rebuild chain topology and
         // reference counts from the on-disk base pointers so deletes, GC
         // and future encodes behave correctly. (The similarity index is
@@ -571,17 +537,57 @@ impl DedupEngine {
                 }
                 p.sketch
             }
-            None => {
-                let t = self.tracer.start();
-                let mut chunks = Vec::new();
-                self.extractor.chunker().chunk_into(data, &mut chunks);
-                self.tracer.stop(t, Stage::Chunk);
-                let t = self.tracer.start();
-                let sketch = self.extractor.extract_from_chunks(data, &chunks);
-                self.tracer.stop(t, Stage::Sketch);
-                sketch
-            }
+            None => self.sketch_of(data),
         };
+        let original = data.len() as u64;
+        match self.plan(db, id, data, &sketch)? {
+            Plan::Unique(reason) => {
+                self.record_governor(db, original, original);
+                self.insert_unique_cached(id, data)?;
+                *match reason {
+                    UniqueReason::NoCandidate => &mut self.metrics.unique_no_candidate,
+                    UniqueReason::SourceUnavailable => &mut self.metrics.unique_source_unavailable,
+                    UniqueReason::BelowBenefit => &mut self.metrics.unique_below_benefit,
+                } += 1;
+                Ok(InsertOutcome::Unique)
+            }
+            Plan::Deduped { source, src_content, forward } => {
+                let forward_bytes = forward.encoded_len();
+                self.record_governor(db, original, forward_bytes as u64);
+                self.apply_dedup_insert(id, source, data, &src_content, &forward, true)?;
+                self.metrics.deduped_inserts += 1;
+                self.metrics.forward_delta_bytes += forward_bytes as u64;
+                Ok(InsertOutcome::Deduped { source, forward_bytes })
+            }
+        }
+    }
+
+    /// ① Feature extraction, timed per stage.
+    fn sketch_of(&mut self, data: &[u8]) -> Sketch {
+        let t = self.tracer.start();
+        let mut chunks = Vec::new();
+        self.extractor.chunker().chunk_into(data, &mut chunks);
+        self.tracer.stop(t, Stage::Chunk);
+        let t = self.tracer.start();
+        let sketch = self.extractor.extract_from_chunks(data, &chunks);
+        self.tracer.stop(t, Stage::Sketch);
+        sketch
+    }
+
+    /// Steps ②–④ of Fig. 3 for a record whose sketch is in hand: registers
+    /// its features in `db`'s index partition while counting candidate
+    /// matches, picks the best source (cache-aware, §3.1.3), and
+    /// forward-encodes against it behind the `min_benefit_bytes` gate. The
+    /// inline insert and out-of-line re-dedup both decide here, so a
+    /// drained re-dedup backlog reaches the decisions inline ingest would
+    /// have made.
+    fn plan(
+        &mut self,
+        db: &str,
+        id: RecordId,
+        data: &[u8],
+        sketch: &Sketch,
+    ) -> Result<Plan, EngineError> {
         // ② Index lookup (and registration of the new record's features).
         let t = self.tracer.start();
         let slot = self.slots.assign(id);
@@ -626,24 +632,21 @@ impl DedupEngine {
             }
         }
         let Some((_, source)) = best else {
-            self.record_governor(db, data.len() as u64, data.len() as u64);
-            self.insert_unique_cached(id, data)?;
-            return Ok(InsertOutcome::Unique);
+            return Ok(Plan::Unique(UniqueReason::NoCandidate));
         };
 
-        // ④ Delta compression (forward first, then re-encode backward).
+        // ④ Delta compression (forward first; the backward re-encode
+        // happens when the chain is extended).
         let t = self.tracer.start();
         let fetched = self.fetch_for_encode(source);
         self.tracer.stop(t, Stage::SourceFetch);
         let src_content = match fetched {
             Ok(c) => c,
+            // The chosen source is corrupt or vanished. The new data is
+            // intact in hand — keep it raw rather than failing a write over
+            // somebody else's damage.
             Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => {
-                // The chosen source is corrupt or vanished. The new data is
-                // intact in hand — degrade to a unique insert rather than
-                // failing the client's write over somebody else's damage.
-                self.record_governor(db, data.len() as u64, data.len() as u64);
-                self.insert_unique_cached(id, data)?;
-                return Ok(InsertOutcome::Unique);
+                return Ok(Plan::Unique(UniqueReason::SourceUnavailable));
             }
             Err(e) => return Err(e),
         };
@@ -652,17 +655,9 @@ impl DedupEngine {
         self.tracer.stop(t, Stage::DeltaEncode);
         let saved = data.len() as i64 - forward.encoded_len() as i64;
         if saved < self.config.min_benefit_bytes as i64 {
-            self.record_governor(db, data.len() as u64, data.len() as u64);
-            self.insert_unique_cached(id, data)?;
-            return Ok(InsertOutcome::Unique);
+            return Ok(Plan::Unique(UniqueReason::BelowBenefit));
         }
-
-        let forward_bytes = forward.encoded_len();
-        self.record_governor(db, data.len() as u64, forward_bytes as u64);
-        self.apply_dedup_insert(id, source, data, &src_content, &forward, true)?;
-        self.metrics.deduped_inserts += 1;
-        self.metrics.forward_delta_bytes += forward_bytes as u64;
-        Ok(InsertOutcome::Deduped { source, forward_bytes })
+        Ok(Plan::Deduped { source, src_content, forward })
     }
 
     fn record_governor(&mut self, db: &str, original: u64, stored: u64) {
@@ -674,8 +669,8 @@ impl DedupEngine {
 
     /// Shared dedup-insert machinery used by the primary insert path and by
     /// the secondary's oplog re-encoder (§4.1): stores the new record raw,
-    /// extends the encoding chain, and queues backward writebacks.
-    /// `emit_oplog` is false on secondaries.
+    /// then extends the encoding chain. `emit_oplog` is false on
+    /// secondaries.
     fn apply_dedup_insert(
         &mut self,
         id: RecordId,
@@ -686,26 +681,46 @@ impl DedupEngine {
         emit_oplog: bool,
     ) -> Result<(), EngineError> {
         if emit_oplog {
-            let (_, wire) = self.oplog.append(OplogKind::Insert {
+            self.log_op(OplogKind::Insert {
                 id,
                 payload: OplogPayload::Forward {
                     base: source,
                     delta: Bytes::from(forward.encode()),
                 },
             })?;
-            self.metrics.network_bytes += wire as u64;
         }
         let t = self.tracer.start();
         self.store.put(id, StorageForm::Raw, data)?;
         self.tracer.stop(t, Stage::StoreAppend);
         self.io.submit(1);
         self.slots.assign(id);
+        self.extend_chain(
+            id,
+            source,
+            data,
+            src_content,
+            forward,
+            self.config.synchronous_writebacks,
+        )
+    }
 
+    /// Appends `id` to `source`'s encoding chain and produces the backward
+    /// deltas the chain policy asks for: the selected source's comes free
+    /// by re-encoding `forward`; hop upgrades need their own pass. With
+    /// `sync` each beneficial delta is stored now, otherwise it queues in
+    /// the lossy write-back cache for idle-time flushing. Finally `id`
+    /// replaces the source as the cached chain head (§3.3.1).
+    fn extend_chain(
+        &mut self,
+        id: RecordId,
+        source: RecordId,
+        data: &[u8],
+        src_content: &[u8],
+        forward: &Delta,
+        sync: bool,
+    ) -> Result<(), EngineError> {
         let plan = self.chains.append(id, source);
         for wb in &plan.writebacks {
-            // The selected source's backward delta comes free via
-            // re-encoding; other targets (hop upgrades) need their own pass
-            // against their cached/stored content.
             let (content, delta) = if wb.target == source {
                 (Bytes::copy_from_slice(src_content), reencode(src_content, forward))
             } else {
@@ -723,8 +738,12 @@ impl DedupEngine {
             let enc = delta.encode();
             let saving = content.len() as i64 - enc.len() as i64;
             if saving > 0 {
-                if self.config.synchronous_writebacks {
-                    // Fig. 13b ablation: pay the extra write immediately.
+                if sync {
+                    // Pay the extra write immediately (the Fig. 13b ablation,
+                    // and re-dedup's copy-before-supersede). A queued delta
+                    // for this target computed against older content would
+                    // now be stale — drop it.
+                    self.wb_cache.invalidate(wb.target);
                     self.store.put(wb.target, StorageForm::Delta { base: id }, &enc)?;
                     self.chains.commit_writeback(Writeback { target: wb.target, base: id });
                     self.io.submit(1);
@@ -757,12 +776,19 @@ impl DedupEngine {
         Ok(())
     }
 
+    /// Appends one operation to the oplog and charges its wire bytes to
+    /// network transfer.
+    fn log_op(&mut self, kind: OplogKind) -> Result<(), EngineError> {
+        let (_, wire) = self.oplog.append(kind).map_err(EngineError::Oplog)?;
+        self.metrics.network_bytes += wire as u64;
+        Ok(())
+    }
+
     fn insert_unique(&mut self, id: RecordId, data: &[u8]) -> Result<(), EngineError> {
-        let (_, wire) = self.oplog.append(OplogKind::Insert {
+        self.log_op(OplogKind::Insert {
             id,
             payload: OplogPayload::Raw(Bytes::copy_from_slice(data)),
         })?;
-        self.metrics.network_bytes += wire as u64;
         let t = self.tracer.start();
         self.store.put(id, StorageForm::Raw, data)?;
         self.tracer.stop(t, Stage::StoreAppend);
@@ -792,11 +818,10 @@ impl DedupEngine {
         id: RecordId,
         data: &[u8],
     ) -> Result<(), EngineError> {
-        let (_, wire) = self.oplog.append(OplogKind::Insert {
+        self.log_op(OplogKind::Insert {
             id,
             payload: OplogPayload::Raw(Bytes::copy_from_slice(data)),
         })?;
-        self.metrics.network_bytes += wire as u64;
         let t = self.tracer.start();
         self.store.put_degraded(id, db, data)?;
         self.tracer.stop(t, Stage::StoreAppend);
@@ -1040,11 +1065,10 @@ impl DedupEngine {
         // also clears the on-disk tag).
         self.degraded.remove(&id);
         if emit_oplog {
-            let (_, wire) = self.oplog.append(OplogKind::Update {
+            self.log_op(OplogKind::Update {
                 id,
                 payload: OplogPayload::Raw(Bytes::copy_from_slice(data)),
             })?;
-            self.metrics.network_bytes += wire as u64;
         }
         self.metrics.original_bytes += data.len() as u64;
         if self.chains.refcount(id) == 0 {
@@ -1077,8 +1101,7 @@ impl DedupEngine {
         self.source_cache.remove(id);
         self.degraded.remove(&id);
         if emit_oplog {
-            let (_, wire) = self.oplog.append(OplogKind::Delete { id })?;
-            self.metrics.network_bytes += wire as u64;
+            self.log_op(OplogKind::Delete { id })?;
         }
         self.chains.mark_deleted(id);
         self.try_remove_deleted(id)?;
@@ -1433,156 +1456,38 @@ impl DedupEngine {
         // Raw refcount-0 singleton, exactly as the overload path left it:
         // replay the inline pipeline stages in call order, so a degraded
         // burst drained in insertion order converges to the same index,
-        // chain, and storage state a never-degraded run produces.
+        // chain, and storage state a never-degraded run produces. The
+        // overload path skipped index registration, so the record's
+        // features enter the index here, just later.
         let data = self.store.get(id)?.payload;
-
-        // ① Feature extraction.
-        let mut chunks = Vec::new();
-        self.extractor.chunker().chunk_into(&data, &mut chunks);
-        let sketch = self.extractor.extract_from_chunks(&data, &chunks);
-        // ② Index lookup + registration (the overload path skipped it, so
-        // the record's features enter the index here, just later).
-        let slot = self.slots.assign(id);
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-        let cold_probes = {
-            let part = self.index.partition_mut(db);
-            let probes_before = part.stats().cold_probes;
-            for &feature in sketch.features() {
-                for cand in part.lookup_insert(feature, slot) {
-                    if cand != slot {
-                        *counts.entry(cand).or_insert(0) += 1;
-                    }
-                }
-            }
-            part.stats().cold_probes - probes_before
+        let sketch = self.sketch_of(&data);
+        let Plan::Deduped { source, src_content, forward } = self.plan(db, id, &data, &sketch)?
+        else {
+            // Stays raw, exactly as the inline unique path would have
+            // stored it. The clean raw re-put supersedes the tagged frame
+            // (durable tag clear), and the content seeds the source cache
+            // like a unique insert does.
+            self.store.put(id, StorageForm::Raw, &data)?;
+            self.io.submit(1);
+            self.source_cache.insert(id, Bytes::copy_from_slice(&data));
+            self.degraded.remove(&id);
+            return Ok(RededupOutcome::KeptRaw);
         };
-        if cold_probes > 0 {
-            self.io.submit(cold_probes);
-        }
-        // ③ Cache-aware source selection (§3.1.3), same scoring as inline.
-        let mut best: Option<(u32, RecordId)> = None;
-        for (&cand_slot, &feature_score) in &counts {
-            let Some(cand_id) = self.slots.get(cand_slot) else {
-                continue;
-            };
-            if self.chains.is_deleted(cand_id) || !self.store.contains(cand_id) {
-                continue;
-            }
-            let mut score = feature_score;
-            if self.source_cache.contains(cand_id) {
-                score += self.config.cache_reward;
-            }
-            let better = match best {
-                None => true,
-                Some((bs, bid)) => score > bs || (score == bs && cand_id > bid),
-            };
-            if better {
-                best = Some((score, cand_id));
-            }
-        }
-        let Some((_, source)) = best else {
-            return self.rededup_keep_raw(id, &data);
-        };
-        // ④ Delta compression, with the same benefit gate as inline.
-        let src_content = match self.fetch_for_encode(source) {
-            Ok(c) => c,
-            Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => {
-                return self.rededup_keep_raw(id, &data);
-            }
-            Err(e) => return Err(e),
-        };
-        let forward = self.encoder.encode(&src_content, &data);
-        let saved = data.len() as i64 - forward.encoded_len() as i64;
-        if saved < self.config.min_benefit_bytes as i64 {
-            return self.rededup_keep_raw(id, &data);
-        }
-        let forward_bytes = forward.encoded_len();
-        self.apply_rededup(id, source, &data, &src_content, &forward)?;
-        Ok(RededupOutcome::Rededuped { source, forward_bytes })
-    }
-
-    /// Terminal no-source outcome of a re-dedup pass: the record stays
-    /// raw, exactly as the inline unique path would have stored it. The
-    /// clean raw re-put supersedes the tagged frame (durable tag clear),
-    /// and the content seeds the source cache like a unique insert does.
-    fn rededup_keep_raw(
-        &mut self,
-        id: RecordId,
-        data: &[u8],
-    ) -> Result<RededupOutcome, EngineError> {
-        self.store.put(id, StorageForm::Raw, data)?;
-        self.io.submit(1);
-        self.source_cache.insert(id, Bytes::copy_from_slice(data));
-        self.degraded.remove(&id);
-        Ok(RededupOutcome::KeptRaw)
-    }
-
-    /// Commits a re-dedup rewrite with the copy-before-supersede ordering:
-    /// chain halves (backward deltas for the source and any hop upgrades)
-    /// land first — all synchronous, so the rewrite is durably complete —
-    /// and only then is the raw tagged frame superseded by a clean raw
-    /// re-put of identical bytes. Mirrors
-    /// [`apply_dedup_insert`](Self::apply_dedup_insert)'s chain and cache
-    /// operations so a drained backlog converges to the inline result.
-    fn apply_rededup(
-        &mut self,
-        id: RecordId,
-        source: RecordId,
-        data: &[u8],
-        src_content: &[u8],
-        forward: &Delta,
-    ) -> Result<(), EngineError> {
-        // Re-enter the record through the normal append machinery: its
-        // singleton chain (refcount 0, no base) is retired and `id` joins
-        // `source`'s chain, so hop policy sees the same operation sequence
-        // an inline dedup insert would have produced.
+        // Copy-before-supersede: the record's singleton chain (refcount 0,
+        // no base) is retired and `id` joins `source`'s chain through the
+        // inline append machinery, with every chain half written
+        // synchronously regardless of the write-back mode, so the rewrite
+        // is durably complete before the raw frame goes away.
         self.chains.remove(id);
-        let plan = self.chains.append(id, source);
-        for wb in &plan.writebacks {
-            let (content, delta) = if wb.target == source {
-                (Bytes::copy_from_slice(src_content), reencode(src_content, forward))
-            } else {
-                let c = match self.fetch_for_encode(wb.target) {
-                    Ok(c) => c,
-                    Err(EngineError::ChainBroken { .. } | EngineError::NotFound(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                let d = self.encoder.encode(data, &c);
-                (c, d)
-            };
-            let enc = delta.encode();
-            let saving = content.len() as i64 - enc.len() as i64;
-            if saving > 0 {
-                // Always synchronous, regardless of the writeback-cache
-                // mode: the whole point of copy-before-supersede is that
-                // the rewrite is durably complete before the raw frame
-                // goes away. A queued delta for this target computed
-                // against older content would now be stale — drop it.
-                self.wb_cache.invalidate(wb.target);
-                self.store.put(wb.target, StorageForm::Delta { base: id }, &enc)?;
-                self.chains.commit_writeback(Writeback { target: wb.target, base: id });
-                self.io.submit(1);
-            }
-            if wb.target != source {
-                self.source_cache.remove(wb.target);
-            }
-        }
+        self.extend_chain(id, source, &data, &src_content, &forward, true)?;
         // Commit point: a clean raw frame (identical bytes, no tag)
         // supersedes the degraded frame. Until this write lands, every
         // prior write is additive — a crash leaves the record readable
         // and the tag in place.
-        self.store.put(id, StorageForm::Raw, data)?;
+        self.store.put(id, StorageForm::Raw, &data)?;
         self.io.submit(1);
-        // Cache maintenance identical to the inline dedup path (§3.3.1).
-        let src_level = self
-            .chains
-            .chain_index(source)
-            .map(|idx| self.chains.policy().level_of(idx))
-            .unwrap_or(0);
-        let replaces = if src_level >= 1 { None } else { Some(source) };
-        self.source_cache.replace_or_insert(id, Bytes::copy_from_slice(data), replaces);
         self.degraded.remove(&id);
-        Ok(())
+        Ok(RededupOutcome::Rededuped { source, forward_bytes: forward.encoded_len() })
     }
 
     /// Runs one bounded incremental-compaction step (at most `max_bytes`
@@ -1682,9 +1587,7 @@ impl DedupEngine {
             // Unreadable (broken-chain) records can't be sketched; they are
             // resync's problem, not the index's.
             let Ok(content) = self.read(id) else { continue };
-            let mut chunks = Vec::new();
-            self.extractor.chunker().chunk_into(&content, &mut chunks);
-            let sketch = self.extractor.extract_from_chunks(&content, &chunks);
+            let sketch = self.extractor.extract(&content);
             let slot = self.slots.assign(id);
             let part = self.index.partition_mut(db);
             for &feature in sketch.features() {
@@ -2251,6 +2154,9 @@ impl DedupEngine {
             index_bytes: self.index.accounted_bytes(),
             deduped_inserts: self.metrics.deduped_inserts,
             unique_inserts: self.metrics.unique_inserts,
+            unique_no_candidate: self.metrics.unique_no_candidate,
+            unique_source_unavailable: self.metrics.unique_source_unavailable,
+            unique_below_benefit: self.metrics.unique_below_benefit,
             bypassed_size: self.metrics.bypassed_size,
             bypassed_governor: self.metrics.bypassed_governor,
             source_cache: self.source_cache.stats(),
@@ -2962,6 +2868,73 @@ mod tests {
             e.insert("db", RecordId(2), &docs[1]).unwrap(),
             InsertOutcome::Deduped { source: RecordId(1), .. }
         ));
+    }
+
+    /// The three unique-reason counters, in declaration order.
+    fn unique_reasons(e: &DedupEngine) -> [u64; 3] {
+        let m = e.metrics();
+        [m.unique_no_candidate, m.unique_source_unavailable, m.unique_below_benefit]
+    }
+
+    #[test]
+    fn unique_reason_no_candidate_on_first_insert() {
+        let mut e = engine();
+        let out = e.insert("db", RecordId(1), &versioned_docs(1, 81)[0]).unwrap();
+        assert_eq!(out, InsertOutcome::Unique);
+        assert_eq!(unique_reasons(&e), [1, 0, 0]);
+    }
+
+    #[test]
+    fn unique_reason_source_unavailable_when_source_frame_rots() {
+        let dir = scrub_dir("unique-source");
+        let mut cfg = EngineConfig::default();
+        cfg.min_benefit_bytes = 16;
+        // No source cache and no block cache: the source must come off disk.
+        cfg.source_cache_bytes = 0;
+        let store_cfg = StoreConfig { block_cache_bytes: 0, ..Default::default() };
+        let mut e = DedupEngine::new(RecordStore::open(&dir, store_cfg).unwrap(), cfg).unwrap();
+        let docs = versioned_docs(2, 82);
+        e.insert("db", RecordId(1), &docs[0]).unwrap();
+        rot_live_frame(&dir, &e, RecordId(1), FRAME_PROBE);
+        let out = e.insert("db", RecordId(2), &docs[1]).unwrap();
+        assert_eq!(out, InsertOutcome::Unique);
+        assert_eq!(unique_reasons(&e), [1, 1, 0]);
+        assert_eq!(&e.read(RecordId(2)).unwrap()[..], &docs[1][..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unique_reason_below_benefit_when_gate_exceeds_record_size() {
+        let mut cfg = EngineConfig::default();
+        cfg.min_benefit_bytes = 1 << 20;
+        let mut e = DedupEngine::open_temp(cfg).unwrap();
+        let docs = versioned_docs(2, 83);
+        assert!(docs[1].len() < 1 << 20);
+        e.insert("db", RecordId(1), &docs[0]).unwrap();
+        let out = e.insert("db", RecordId(2), &docs[1]).unwrap();
+        assert_eq!(out, InsertOutcome::Unique);
+        assert_eq!(unique_reasons(&e), [1, 0, 1]);
+    }
+
+    #[test]
+    fn rededup_records_inner_pipeline_stages() {
+        let mut cfg = EngineConfig::default();
+        cfg.min_benefit_bytes = 16;
+        cfg.trace_sample_every = 1;
+        let mut e = DedupEngine::open_temp(cfg).unwrap();
+        let docs = versioned_docs(2, 84);
+        e.insert("db", RecordId(1), &docs[0]).unwrap();
+        e.set_replication_pressure(true);
+        e.insert("db", RecordId(2), &docs[1]).unwrap();
+        e.set_replication_pressure(false);
+        let stages = [Stage::Chunk, Stage::Sketch, Stage::IndexLookup, Stage::DeltaEncode];
+        let counts = |e: &DedupEngine| stages.map(|s| e.stage_timings().get(s).count());
+        let before = counts(&e);
+        assert!(matches!(e.rededup_record(RecordId(2)).unwrap(), RededupOutcome::Rededuped { .. }));
+        let after = counts(&e);
+        for (i, stage) in stages.iter().enumerate() {
+            assert_eq!(after[i], before[i] + 1, "{stage:?} not recorded by re-dedup");
+        }
     }
 
     #[test]

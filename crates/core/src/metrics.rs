@@ -22,6 +22,15 @@ pub struct EngineMetrics {
     pub deduped_inserts: u64,
     /// Inserts stored raw because no (beneficial) similar record existed.
     pub unique_inserts: u64,
+    /// Dedup-eligible inserts kept raw because no indexed record shared a
+    /// feature with them.
+    pub unique_no_candidate: u64,
+    /// Dedup-eligible inserts kept raw because the chosen source could not
+    /// be fetched (corrupt or gone).
+    pub unique_source_unavailable: u64,
+    /// Dedup-eligible inserts kept raw because the forward delta saved
+    /// less than `min_benefit_bytes`.
+    pub unique_below_benefit: u64,
     /// Inserts bypassed by the size filter.
     pub bypassed_size: u64,
     /// Inserts bypassed because the governor disabled the database.
@@ -184,6 +193,12 @@ pub struct MetricsSnapshot {
     pub deduped_inserts: u64,
     /// Unique inserts.
     pub unique_inserts: u64,
+    /// Dedup-eligible inserts kept raw: no candidate source.
+    pub unique_no_candidate: u64,
+    /// Dedup-eligible inserts kept raw: source unreadable.
+    pub unique_source_unavailable: u64,
+    /// Dedup-eligible inserts kept raw: delta below `min_benefit_bytes`.
+    pub unique_below_benefit: u64,
     /// Size-filter bypasses.
     pub bypassed_size: u64,
     /// Governor bypasses.
@@ -315,6 +330,9 @@ impl MetricsSnapshot {
         r.set_u64("catchup_batches", self.catchup_batches);
         r.set_u64("health_transitions", self.health_transitions);
         r.set_u64("max_replica_lag", self.max_replica_lag);
+        r.set_u64("unique_no_candidate", self.unique_no_candidate);
+        r.set_u64("unique_source_unavailable", self.unique_source_unavailable);
+        r.set_u64("unique_below_benefit", self.unique_below_benefit);
         r.set_u64("source_cache_hits", self.source_cache.hits);
         r.set_u64("source_cache_misses", self.source_cache.misses);
         r.set_u64("source_cache_evictions", self.source_cache.evictions);
@@ -423,6 +441,9 @@ mod tests {
             index_bytes: 48,
             deduped_inserts: 9,
             unique_inserts: 1,
+            unique_no_candidate: 1,
+            unique_source_unavailable: 0,
+            unique_below_benefit: 0,
             bypassed_size: 0,
             bypassed_governor: 0,
             source_cache: SourceCacheStats::default(),

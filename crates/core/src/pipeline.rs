@@ -39,6 +39,7 @@ use dbdedup_chunker::{ChunkerConfig, ContentChunker, Sketch, SketchExtractor};
 use dbdedup_obs::{EventKind, EventLog, Registry, Severity};
 use dbdedup_util::ids::RecordId;
 use dbdedup_util::stats::LogHistogram;
+use dbdedup_util::sync::lock_or_recover;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -264,16 +265,6 @@ struct Stats {
     worker_busy_ns: AtomicU64,
     hists: Mutex<(LogHistogram, LogHistogram)>, // (commit_ns, stall_ns)
     started: Instant,
-}
-
-/// Recovers the guard from a poisoned pipeline lock. Every critical
-/// section in this module leaves its guarded data consistent at each exit
-/// point, so when a worker or committer thread panics (poisoning a mutex
-/// mid-unwind), the remaining threads — and the shutdown path, which
-/// still needs these locks to drain and join — can safely continue
-/// instead of cascading the panic through `drain`/`Drop`.
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn store_max(cell: &AtomicU64, value: u64) {

@@ -13,9 +13,9 @@ use crate::metrics::MetricsSnapshot;
 use bytes::Bytes;
 use dbdedup_util::hash::fx::FxHasher;
 use dbdedup_util::ids::RecordId;
-use parking_lot::Mutex;
+use dbdedup_util::sync::lock_or_recover;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A fixed set of engine shards, routed by database name.
 ///
@@ -74,56 +74,59 @@ impl ShardedEngine {
         prepared: Option<crate::pipeline::PreparedInsert>,
     ) -> Result<InsertOutcome, EngineError> {
         let k = self.route(db);
-        let out = self.shards[k].lock().insert_prepared(db, id, data, prepared)?;
-        self.placement.lock().insert(id, k as u32);
+        let out = lock_or_recover(&self.shards[k]).insert_prepared(db, id, data, prepared)?;
+        lock_or_recover(&self.placement).insert(id, k as u32);
         Ok(out)
     }
 
     /// A preparer performing the shards' exact feature extraction (all
     /// shards share one configuration).
     pub fn preparer(&self) -> crate::pipeline::InsertPreparer {
-        self.shards[0].lock().preparer()
+        lock_or_recover(&self.shards[0]).preparer()
     }
 
     /// The shared shard configuration.
     pub fn config(&self) -> EngineConfig {
-        self.shards[0].lock().config().clone()
+        lock_or_recover(&self.shards[0]).config().clone()
     }
 
     /// Raises/clears the replication-overload gate on every shard.
     pub fn set_replication_pressure(&self, on: bool) {
         for s in self.shards.iter() {
-            s.lock().set_replication_pressure(on);
+            lock_or_recover(s).set_replication_pressure(on);
         }
     }
 
     /// Runs `f` against shard `k` under its lock (tests, diagnostics, and
     /// the differential harness's byte-level comparisons).
     pub fn with_shard<R>(&self, k: usize, f: impl FnOnce(&mut DedupEngine) -> R) -> R {
-        f(&mut self.shards[k].lock())
+        f(&mut lock_or_recover(&self.shards[k]))
     }
 
     fn shard_of_id(&self, id: RecordId) -> Result<usize, EngineError> {
-        self.placement.lock().get(&id).map(|&k| k as usize).ok_or(EngineError::NotFound(id))
+        lock_or_recover(&self.placement)
+            .get(&id)
+            .map(|&k| k as usize)
+            .ok_or(EngineError::NotFound(id))
     }
 
     /// Reads wherever `id` lives.
     pub fn read(&self, id: RecordId) -> Result<Bytes, EngineError> {
         let k = self.shard_of_id(id)?;
-        self.shards[k].lock().read(id)
+        lock_or_recover(&self.shards[k]).read(id)
     }
 
     /// Updates wherever `id` lives.
     pub fn update(&self, id: RecordId, data: &[u8]) -> Result<(), EngineError> {
         let k = self.shard_of_id(id)?;
-        self.shards[k].lock().update(id, data)
+        lock_or_recover(&self.shards[k]).update(id, data)
     }
 
     /// Deletes wherever `id` lives.
     pub fn delete(&self, id: RecordId) -> Result<(), EngineError> {
         let k = self.shard_of_id(id)?;
-        self.shards[k].lock().delete(id)?;
-        self.placement.lock().remove(&id);
+        lock_or_recover(&self.shards[k]).delete(id)?;
+        lock_or_recover(&self.placement).remove(&id);
         Ok(())
     }
 
@@ -131,7 +134,7 @@ impl ShardedEngine {
     pub fn flush_all_writebacks(&self) -> Result<usize, EngineError> {
         let mut n = 0;
         for s in self.shards.iter() {
-            n += s.lock().flush_all_writebacks()?;
+            n += lock_or_recover(s).flush_all_writebacks()?;
         }
         Ok(n)
     }
@@ -139,7 +142,7 @@ impl ShardedEngine {
     /// Aggregated metrics across shards.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snaps: Vec<MetricsSnapshot> =
-            self.shards.iter().map(|s| s.lock().metrics()).collect();
+            self.shards.iter().map(|s| lock_or_recover(s).metrics()).collect();
         let mut total = snaps.pop().expect("at least one shard");
         for s in snaps {
             total.original_bytes += s.original_bytes;
@@ -149,6 +152,9 @@ impl ShardedEngine {
             total.index_bytes += s.index_bytes;
             total.deduped_inserts += s.deduped_inserts;
             total.unique_inserts += s.unique_inserts;
+            total.unique_no_candidate += s.unique_no_candidate;
+            total.unique_source_unavailable += s.unique_source_unavailable;
+            total.unique_below_benefit += s.unique_below_benefit;
             total.bypassed_size += s.bypassed_size;
             total.bypassed_governor += s.bypassed_governor;
             total.gc_spliced += s.gc_spliced;

@@ -113,3 +113,23 @@ fn stage_histograms_reach_the_export_from_real_traffic() {
         }
     }
 }
+
+#[test]
+fn unique_reason_counters_are_exported_and_cover_every_planned_unique() {
+    let e = exercised_engine();
+    let parsed = json::parse(&e.metrics().to_json()).expect("valid JSON");
+    let get = |key: &str| {
+        parsed.get(key).and_then(|v| v.as_num()).unwrap_or_else(|| panic!("missing {key}"))
+    };
+    let reasons: f64 = ["unique_no_candidate", "unique_source_unavailable", "unique_below_benefit"]
+        .iter()
+        .map(|k| get(k))
+        .sum();
+    // The first insert has no candidate, so the split is never all zero.
+    assert!(get("unique_no_candidate") >= 1.0);
+    // Every raw insert is either a planned unique or a bypass.
+    assert_eq!(
+        get("unique_inserts"),
+        reasons + get("bypassed_size") + get("bypassed_governor") + get("bypassed_overload")
+    );
+}

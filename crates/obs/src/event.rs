@@ -13,10 +13,10 @@
 //! shared between an engine and a replicator thread via `Arc`.
 
 use crate::flight::{FlightRecorder, FlightTrigger};
+use dbdedup_util::sync::lock_or_recover;
 use dbdedup_util::time::{system_clock, Clock};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How loud an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,7 +366,7 @@ pub struct EventLog {
 
 impl std::fmt::Debug for EventLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         f.debug_struct("EventLog")
             .field("capacity", &self.capacity)
             .field("len", &inner.events.len())
@@ -409,19 +409,19 @@ impl EventLog {
 
     /// Swaps the timestamp clock.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        self.inner.lock().clock = clock;
+        lock_or_recover(&self.inner).clock = clock;
     }
 
     /// Attaches an anomaly [`FlightRecorder`]: every subsequent event is
     /// mirrored into its ring, and events in the trigger taxonomy
     /// ([`FlightTrigger::for_event`]) fire an automatic dump.
     pub fn set_flight_recorder(&self, recorder: Arc<FlightRecorder>) {
-        self.inner.lock().recorder = Some(recorder);
+        lock_or_recover(&self.inner).recorder = Some(recorder);
     }
 
     /// Records one event, dropping (and counting) the oldest if full.
     pub fn record(&self, severity: Severity, kind: EventKind) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let at_ns = inner.clock.now().as_nanos().min(u64::MAX as u128) as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -445,40 +445,45 @@ impl EventLog {
 
     /// Total events ever recorded (including ones since dropped).
     pub fn logged(&self) -> u64 {
-        self.inner.lock().next_seq
+        lock_or_recover(&self.inner).next_seq
     }
 
     /// Events dropped by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        lock_or_recover(&self.inner).dropped
     }
 
     /// Events currently retained in the ring (the occupancy gauge the
     /// registry exports as `events.len`).
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        lock_or_recover(&self.inner).events.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
+        lock_or_recover(&self.inner).events.is_empty()
     }
 
     /// A copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().events.iter().cloned().collect()
+        lock_or_recover(&self.inner).events.iter().cloned().collect()
     }
 
     /// Retained events whose kind name equals `kind` (test queries).
     pub fn of_kind(&self, kind: &str) -> Vec<Event> {
-        self.inner.lock().events.iter().filter(|e| e.kind.name() == kind).cloned().collect()
+        lock_or_recover(&self.inner)
+            .events
+            .iter()
+            .filter(|e| e.kind.name() == kind)
+            .cloned()
+            .collect()
     }
 
     /// Renders every retained event as JSONL (one object per line, each
     /// line newline-terminated). Deterministic given a deterministic
     /// clock and event order.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         let mut out = String::new();
         for e in &inner.events {
             out.push_str(&e.to_json());

@@ -23,11 +23,11 @@
 //! [`VirtualClock`]: dbdedup_util::time::VirtualClock
 
 use crate::event::EventKind;
+use dbdedup_util::sync::lock_or_recover;
 use dbdedup_util::time::{system_clock, Clock};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The anomaly kinds that cause a ring dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +101,7 @@ pub struct FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         f.debug_struct("FlightRecorder")
             .field("capacity", &self.capacity)
             .field("len", &inner.ring.len())
@@ -144,16 +144,16 @@ impl FlightRecorder {
 
     /// Swaps the timestamp clock.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        self.inner.lock().clock = clock;
+        lock_or_recover(&self.inner).clock = clock;
     }
 
     /// Points (or un-points) triggered dumps at a filesystem path.
     pub fn set_dump_path(&self, path: Option<PathBuf>) {
-        self.inner.lock().dump_path = path;
+        lock_or_recover(&self.inner).dump_path = path;
     }
 
     fn push(&self, line: String) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         if inner.ring.len() == self.capacity {
             inner.ring.pop_front();
             inner.evicted += 1;
@@ -173,7 +173,7 @@ impl FlightRecorder {
 
     /// Records one sampled stage span.
     pub fn record_span(&self, stage: &str, ns: u64) {
-        let at_ns = Self::now_ns(&self.inner.lock());
+        let at_ns = Self::now_ns(&lock_or_recover(&self.inner));
         self.push(format!(
             "{{\"t\":\"span\",\"at_ns\":{at_ns},\"stage\":\"{stage}\",\"ns\":{ns}}}"
         ));
@@ -181,7 +181,7 @@ impl FlightRecorder {
 
     /// Records one periodic registry snapshot (pre-rendered JSON object).
     pub fn record_snapshot(&self, registry_json: &str) {
-        let at_ns = Self::now_ns(&self.inner.lock());
+        let at_ns = Self::now_ns(&lock_or_recover(&self.inner));
         self.push(format!("{{\"t\":\"snapshot\",\"at_ns\":{at_ns},\"metrics\":{registry_json}}}"));
     }
 
@@ -192,7 +192,7 @@ impl FlightRecorder {
     /// (Self::dump_errors)) rather than propagated — the black box must
     /// never take the node down with it.
     pub fn trigger(&self, t: FlightTrigger) -> String {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let at_ns = Self::now_ns(&inner);
         inner.dumps += 1;
         let mut dump = format!(
@@ -216,32 +216,32 @@ impl FlightRecorder {
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+        lock_or_recover(&self.inner).ring.len()
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().ring.is_empty()
+        lock_or_recover(&self.inner).ring.is_empty()
     }
 
     /// Entries evicted by the ring bound so far.
     pub fn evicted(&self) -> u64 {
-        self.inner.lock().evicted
+        lock_or_recover(&self.inner).evicted
     }
 
     /// Dumps triggered so far.
     pub fn dumps(&self) -> u64 {
-        self.inner.lock().dumps
+        lock_or_recover(&self.inner).dumps
     }
 
     /// Triggered dumps that failed to reach disk.
     pub fn dump_errors(&self) -> u64 {
-        self.inner.lock().dump_errors
+        lock_or_recover(&self.inner).dump_errors
     }
 
     /// The most recent dump, byte-for-byte.
     pub fn last_dump(&self) -> Option<String> {
-        self.inner.lock().last_dump.clone()
+        lock_or_recover(&self.inner).last_dump.clone()
     }
 }
 

@@ -28,11 +28,11 @@
 use crate::event::EventLog;
 use crate::prom::render_prometheus;
 use crate::registry::Registry;
-use parking_lot::Mutex;
+use dbdedup_util::sync::lock_or_recover;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Prometheus metric-name namespace for everything this node exports.
@@ -91,20 +91,20 @@ impl StatusCell {
 
     /// Attaches the event log `/events` serves.
     pub fn set_event_log(&self, log: Arc<EventLog>) {
-        *self.events.lock() = Some(log);
+        *lock_or_recover(&self.events) = Some(log);
     }
 
     /// Publishes a metrics snapshot: renders the registry to Prometheus
     /// text once, on the publisher's thread.
     pub fn publish_registry(&self, r: &Registry) {
         let text = render_prometheus(r, METRICS_PREFIX);
-        self.state.lock().prometheus = text;
+        lock_or_recover(&self.state).prometheus = text;
     }
 
     /// Publishes a health verdict: the pre-rendered `/health` JSON body
     /// plus the boolean `/ready` gate.
     pub fn publish_health(&self, ready: bool, health_json: String) {
-        let mut s = self.state.lock();
+        let mut s = lock_or_recover(&self.state);
         s.ready = ready;
         s.health_json = health_json;
     }
@@ -117,15 +117,19 @@ impl StatusCell {
     fn respond(&self, path: &str) -> (u16, &'static str, String) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         match path {
-            "/metrics" => (200, "text/plain; version=0.0.4", self.state.lock().prometheus.clone()),
-            "/health" => (200, "application/json", self.state.lock().health_json.clone()),
+            "/metrics" => {
+                (200, "text/plain; version=0.0.4", lock_or_recover(&self.state).prometheus.clone())
+            }
+            "/health" => {
+                (200, "application/json", lock_or_recover(&self.state).health_json.clone())
+            }
             "/ready" => {
-                let ready = self.state.lock().ready;
+                let ready = lock_or_recover(&self.state).ready;
                 let code = if ready { 200 } else { 503 };
                 (code, "application/json", format!("{{\"ready\":{ready}}}"))
             }
             "/events" => {
-                let body = match self.events.lock().as_ref() {
+                let body = match lock_or_recover(&self.events).as_ref() {
                     Some(log) => tail_lines(&log.to_jsonl(), EVENTS_TAIL_LINES),
                     None => String::new(),
                 };

@@ -1,7 +1,7 @@
 //! Asynchronous replication: the secondary applies batches on its own
-//! thread, fed through a bounded crossbeam channel — the push model of the
-//! paper's Fig. 8 (primary never blocks on the replica except for
-//! back-pressure).
+//! thread, fed through a bounded `std::sync::mpsc::sync_channel` — the
+//! push model of the paper's Fig. 8 (primary never blocks on the replica
+//! except for back-pressure).
 //!
 //! Shipping never silently drops an acknowledged batch: [`ship`] is
 //! non-blocking and reports a full queue as [`ShipOutcome::Backpressured`]
@@ -15,17 +15,17 @@
 //! [`ship`]: AsyncReplicator::ship
 //! [`ship_with_deadline`]: AsyncReplicator::ship_with_deadline
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dbdedup_core::{DedupEngine, EngineError};
 use dbdedup_obs::{EventKind, EventLog, Severity};
 use dbdedup_storage::oplog::{decode_batch, encode_batch, OplogEntry};
 use dbdedup_storage::store::StoreError;
 use dbdedup_storage::{FaultInjector, WriteOutcome};
+use dbdedup_util::sync::lock_or_recover;
 use dbdedup_util::time::system_clock;
 use dbdedup_util::{Backoff, BackoffConfig, Clock};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -79,7 +79,7 @@ fn is_transient(err: &EngineError) -> bool {
 
 /// Handle to a secondary applying oplog batches asynchronously.
 pub struct AsyncReplicator {
-    tx: Option<Sender<Vec<u8>>>,
+    tx: Option<SyncSender<Vec<u8>>>,
     handle: Option<JoinHandle<DedupEngine>>,
     counters: Arc<Counters>,
     last_error: Arc<Mutex<Option<String>>>,
@@ -103,7 +103,7 @@ impl AsyncReplicator {
         queue_depth: usize,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let (tx, rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = bounded(queue_depth.max(1));
+        let (tx, rx): (SyncSender<Vec<u8>>, Receiver<Vec<u8>>) = sync_channel(queue_depth.max(1));
         let counters = Arc::new(Counters::default());
         let last_error = Arc::new(Mutex::new(None));
         let c2 = Arc::clone(&counters);
@@ -124,7 +124,7 @@ impl AsyncReplicator {
                     }
                     Err(err) => {
                         c2.apply_errors.fetch_add(1, Ordering::Relaxed);
-                        *e2.lock() = Some(err.to_string());
+                        *lock_or_recover(&e2) = Some(err.to_string());
                     }
                 }
             }
@@ -278,7 +278,7 @@ impl AsyncReplicator {
 
     /// Most recent apply-side error message, if any.
     pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().clone()
+        lock_or_recover(&self.last_error).clone()
     }
 
     /// Closes the channel, waits for the apply thread to drain, and
@@ -319,13 +319,13 @@ fn apply_with_retry(
                     secondary.record_apply_retry();
                 } else {
                     counters.apply_errors.fetch_add(1, Ordering::Relaxed);
-                    *last_error.lock() = Some(err.to_string());
+                    *lock_or_recover(last_error) = Some(err.to_string());
                     return;
                 }
             }
             Err(err) => {
                 counters.apply_errors.fetch_add(1, Ordering::Relaxed);
-                *last_error.lock() = Some(err.to_string());
+                *lock_or_recover(last_error) = Some(err.to_string());
                 return;
             }
         }
@@ -411,7 +411,7 @@ mod tests {
     /// A depth-1 replicator whose apply thread blocks until `gate` fires,
     /// so tests can hold the queue full deterministically.
     fn gated_replicator(clock: Arc<dyn Clock>) -> (AsyncReplicator, std::sync::mpsc::Sender<()>) {
-        let (tx, rx) = bounded::<Vec<u8>>(1);
+        let (tx, rx) = sync_channel::<Vec<u8>>(1);
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         let counters = Arc::new(Counters::default());
         let last_error = Arc::new(Mutex::new(None));

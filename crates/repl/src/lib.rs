@@ -15,10 +15,10 @@
 //!
 //! * [`pair::ReplicaPair`] — synchronous, deterministic; used by the
 //!   experiment harnesses (network-byte accounting for Fig. 11).
-//! * [`asynch::AsyncReplicator`] — a crossbeam-channel pipeline with the
-//!   secondary applying batches on its own thread, mirroring the paper's
-//!   asynchronous push model, with bounded retry for transient apply
-//!   errors and optional transport fault injection.
+//! * [`asynch::AsyncReplicator`] — a bounded `std::sync::mpsc` channel
+//!   with the secondary applying batches on its own thread, mirroring the
+//!   paper's asynchronous push model, with bounded retry for transient
+//!   apply errors and optional transport fault injection.
 //!
 //! Replication is lossless under overload: shipping reports a typed
 //! [`asynch::ShipOutcome`] (backpressure is the caller's to absorb, with

@@ -15,6 +15,7 @@
 
 use dbdedup_util::dist::SplitMix64;
 use dbdedup_util::hash::fx::FxHashMap;
+use dbdedup_util::sync::lock_or_recover;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -134,13 +135,7 @@ impl FaultInjector {
         if self.crashed.load(Ordering::SeqCst) {
             return Ok(WriteOutcome::Dropped);
         }
-        let fault = self
-            .plan
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .faults
-            .get(&op)
-            .copied();
+        let fault = lock_or_recover(&self.plan).faults.get(&op).copied();
         match fault {
             None => Ok(WriteOutcome::Proceed),
             Some(FaultKind::BitFlip { pos, bit }) => {

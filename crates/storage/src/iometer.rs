@@ -5,10 +5,7 @@
 //! with client traffic. This meter models that: submitted operations join a
 //! queue that drains at a configured rate; the write-back path polls
 //! [`IoMeter::is_idle`]. Time advances explicitly ([`IoMeter::tick`]) so
-//! tests and simulations are deterministic; [`IoMeter::tick_auto`] feeds it
-//! wall-clock time for live use.
-
-use std::time::Instant;
+//! tests and simulations are deterministic.
 
 /// A point-in-time view of the modeled device's pressure, exported to the
 /// operator surface (the health model classifies I/O pressure from the
@@ -47,7 +44,6 @@ pub struct IoMeter {
     queue: f64,
     drain_per_sec: f64,
     idle_threshold: f64,
-    last_auto: Option<Instant>,
     /// Cumulative metered time and the portion of it spent above the
     /// idleness threshold — the externally visible idle-fraction gauge.
     total_secs: f64,
@@ -59,14 +55,7 @@ impl IoMeter {
     /// reporting idle when the queue is below `idle_threshold` operations.
     pub fn new(drain_per_sec: f64, idle_threshold: f64) -> Self {
         assert!(drain_per_sec > 0.0 && idle_threshold >= 0.0);
-        Self {
-            queue: 0.0,
-            drain_per_sec,
-            idle_threshold,
-            last_auto: None,
-            total_secs: 0.0,
-            busy_secs: 0.0,
-        }
+        Self { queue: 0.0, drain_per_sec, idle_threshold, total_secs: 0.0, busy_secs: 0.0 }
     }
 
     /// A profile approximating the paper's HDD testbed: ~200 IOPS drain,
@@ -91,15 +80,6 @@ impl IoMeter {
         }
         self.total_secs += seconds;
         self.queue = (self.queue - seconds * self.drain_per_sec).max(0.0);
-    }
-
-    /// Advances by real elapsed time since the previous `tick_auto` call.
-    pub fn tick_auto(&mut self) {
-        let now = Instant::now();
-        if let Some(last) = self.last_auto {
-            self.tick(now.duration_since(last).as_secs_f64());
-        }
-        self.last_auto = Some(now);
     }
 
     /// Current modeled queue length.
@@ -197,15 +177,5 @@ mod tests {
         m.submit(1000);
         m.tick(2.0); // drains 20 of 1000: busy the whole interval
         assert!((m.idle_fraction() - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tick_auto_progresses() {
-        let mut m = IoMeter::new(1_000_000.0, 1.0);
-        m.submit(100);
-        m.tick_auto(); // establishes the baseline instant
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        m.tick_auto();
-        assert!(m.is_idle(), "fast drain should clear 100 ops in 5ms");
     }
 }

@@ -199,6 +199,12 @@ impl std::error::Error for CursorGap {}
 /// caller acknowledges replica progress via
 /// [`ack_shipped`](Self::ack_shipped)); a cursor that falls below the
 /// floor gets a typed [`CursorGap`] telling it catch-up is impossible.
+///
+/// [`Oplog::open`] adds a durable file sink: every appended entry is framed
+/// and written to the log file before being queued for shipping, and an
+/// existing log is replayed on open — so a restarted primary can resume
+/// replication from where it left off (MongoDB's oplog is likewise a
+/// durable collection).
 #[derive(Debug)]
 pub struct Oplog {
     /// Retained entries with their wire lengths; `entries[i]` has LSN
@@ -215,6 +221,9 @@ pub struct Oplog {
     shipped_bytes: usize,
     /// Budget for retained shipped entries before trimming.
     retain_bytes: usize,
+    /// Durable sink, when opened with [`Oplog::open`]. The file keeps every
+    /// entry ever appended; only the in-memory window trims.
+    file: Option<std::fs::File>,
 }
 
 /// Default retention budget for already-shipped entries (catch-up window).
@@ -243,7 +252,47 @@ impl Oplog {
             pending_bytes: 0,
             shipped_bytes: 0,
             retain_bytes,
+            file: None,
         }
+    }
+
+    /// Opens (or creates) a durable oplog at `path`, replaying any existing
+    /// entries into the pending queue. Each entry is stored as a 4-byte
+    /// little-endian length followed by its wire encoding; replay stops at
+    /// a torn or undecodable tail frame.
+    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
+        use std::io::Read;
+        let mut file =
+            std::fs::OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        let mut log = Oplog::new();
+        let mut off = 0usize;
+        let mut min_lsn = None;
+        let mut max_lsn = None;
+        while off + 4 <= buf.len() {
+            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4")) as usize;
+            if off + 4 + len > buf.len() {
+                break; // torn tail write
+            }
+            let mut r = ByteReader::new(&buf[off + 4..off + 4 + len]);
+            match OplogEntry::decode(&mut r) {
+                Ok(e) => {
+                    min_lsn = Some(min_lsn.map_or(e.lsn, |m: u64| m.min(e.lsn)));
+                    max_lsn = Some(max_lsn.map_or(e.lsn, |m: u64| m.max(e.lsn)));
+                    log.pending_bytes += len;
+                    log.entries.push_back((e, len as u32));
+                }
+                Err(_) => break, // corrupt tail: stop replay
+            }
+            off += 4 + len;
+        }
+        // Replayed entries are all pending again (re-shipping is idempotent
+        // by id/LSN); the retention floor restarts at the replayed prefix.
+        log.floor_lsn = min_lsn.unwrap_or(0);
+        log.next_lsn = max_lsn.map_or(0, |m| m + 1);
+        log.file = Some(file);
+        Ok(log)
     }
 
     /// Adjusts the retention budget in place, trimming immediately if the
@@ -253,16 +302,35 @@ impl Oplog {
         self.trim_to_budget();
     }
 
-    /// Appends an operation, assigning it the next LSN. Returns the entry's
-    /// LSN and its encoded wire length (for network accounting).
-    pub fn append(&mut self, kind: OplogKind) -> (u64, usize) {
+    /// Appends an operation, assigning it the next LSN, and writes it to
+    /// the durable sink if there is one. Returns the entry's LSN and its
+    /// encoded wire length (for network accounting). Only a durable log
+    /// can fail.
+    pub fn append(&mut self, kind: OplogKind) -> std::io::Result<(u64, usize)> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         let entry = OplogEntry { lsn, kind };
-        let wire_len = entry.encode().len();
+        let wire = entry.encode();
+        let wire_len = wire.len();
+        if let Some(file) = &mut self.file {
+            use std::io::Write;
+            let mut framed = Vec::with_capacity(wire_len + 4);
+            framed.extend_from_slice(&(wire_len as u32).to_le_bytes());
+            framed.extend_from_slice(&wire);
+            file.write_all(&framed)?;
+        }
         self.pending_bytes += wire_len;
         self.entries.push_back((entry, wire_len as u32));
-        (lsn, wire_len)
+        Ok((lsn, wire_len))
+    }
+
+    /// Forces appended entries to stable storage (no-op without a durable
+    /// sink).
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        match &self.file {
+            Some(file) => file.sync_data(),
+            None => Ok(()),
+        }
     }
 
     /// Entries not yet shipped.
@@ -357,110 +425,6 @@ impl Oplog {
     }
 }
 
-/// A disk-backed oplog: every appended entry is framed and written to a
-/// log file before being queued for shipping, and an existing log is
-/// replayed on open — so a restarted primary can resume replication from
-/// where it left off (MongoDB's oplog is likewise a durable collection).
-#[derive(Debug)]
-pub struct DurableOplog {
-    inner: Oplog,
-    file: std::fs::File,
-}
-
-impl DurableOplog {
-    /// Opens (or creates) the oplog at `path`, replaying any existing
-    /// entries into the pending queue.
-    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::Read;
-        let mut file =
-            std::fs::OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let mut inner = Oplog::new();
-        let mut off = 0usize;
-        let mut min_lsn = None;
-        let mut max_lsn = None;
-        while off + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4")) as usize;
-            if off + 4 + len > buf.len() {
-                break; // torn tail write
-            }
-            let mut r = ByteReader::new(&buf[off + 4..off + 4 + len]);
-            match OplogEntry::decode(&mut r) {
-                Ok(e) => {
-                    min_lsn = Some(min_lsn.map_or(e.lsn, |m: u64| m.min(e.lsn)));
-                    max_lsn = Some(max_lsn.map_or(e.lsn, |m: u64| m.max(e.lsn)));
-                    inner.pending_bytes += len;
-                    inner.entries.push_back((e, len as u32));
-                }
-                Err(_) => break, // corrupt tail: stop replay
-            }
-            off += 4 + len;
-        }
-        // Replayed entries are all pending again (re-shipping is idempotent
-        // by id/LSN); the retention floor restarts at the replayed prefix.
-        inner.floor_lsn = min_lsn.unwrap_or(0);
-        inner.next_lsn = max_lsn.map_or(0, |m| m + 1);
-        Ok(Self { inner, file })
-    }
-
-    /// Appends an operation durably. Returns the LSN and wire length.
-    pub fn append(&mut self, kind: OplogKind) -> std::io::Result<(u64, usize)> {
-        use std::io::Write;
-        let (lsn, wire_len) = self.inner.append(kind);
-        let entry = self.inner.entries.back().expect("just appended").0.encode();
-        let mut framed = Vec::with_capacity(entry.len() + 4);
-        framed.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&entry);
-        self.file.write_all(&framed)?;
-        Ok((lsn, wire_len))
-    }
-
-    /// Forces appended entries to stable storage.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
-    }
-
-    /// Entries not yet shipped.
-    pub fn pending(&self) -> usize {
-        self.inner.pending()
-    }
-
-    /// Takes a batch for shipment (see [`Oplog::take_batch`]). The shipped
-    /// entries remain in the on-disk log (a real deployment truncates it
-    /// by retention policy, which is orthogonal to this reproduction).
-    pub fn take_batch(&mut self, max_bytes: usize) -> Vec<OplogEntry> {
-        self.inner.take_batch(max_bytes)
-    }
-
-    /// Replica-driven catch-up read (see [`Oplog::read_from`]).
-    pub fn read_from(&self, from_lsn: u64, max_bytes: usize) -> Result<Vec<OplogEntry>, CursorGap> {
-        self.inner.read_from(from_lsn, max_bytes)
-    }
-
-    /// Acknowledges replica progress (see [`Oplog::ack_shipped`]). Only
-    /// the in-memory retention window shrinks; the on-disk log keeps
-    /// everything.
-    pub fn ack_shipped(&mut self, lsn: u64) {
-        self.inner.ack_shipped(lsn);
-    }
-
-    /// The next LSN to be assigned.
-    pub fn next_lsn(&self) -> u64 {
-        self.inner.next_lsn()
-    }
-
-    /// The lowest LSN still retained in memory for catch-up.
-    pub fn floor_lsn(&self) -> u64 {
-        self.inner.floor_lsn()
-    }
-
-    /// Adjusts the in-memory retention budget (see [`Oplog::set_retention`]).
-    pub fn set_retention(&mut self, retain_bytes: usize) {
-        self.inner.set_retention(retain_bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,8 +475,8 @@ mod tests {
     #[test]
     fn lsn_monotonic() {
         let mut log = Oplog::new();
-        let (lsn0, len0) = log.append(OplogKind::Delete { id: RecordId(1) });
-        let (lsn1, _) = log.append(OplogKind::Delete { id: RecordId(2) });
+        let (lsn0, len0) = log.append(OplogKind::Delete { id: RecordId(1) }).unwrap();
+        let (lsn1, _) = log.append(OplogKind::Delete { id: RecordId(2) }).unwrap();
         assert_eq!(lsn0, 0);
         assert_eq!(lsn1, 1);
         assert!(len0 > 0);
@@ -523,7 +487,7 @@ mod tests {
     fn take_batch_respects_byte_budget() {
         let mut log = Oplog::new();
         for i in 0..20u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 100]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 100]) }).unwrap();
         }
         let before = log.pending_bytes();
         let batch = log.take_batch(350);
@@ -540,7 +504,7 @@ mod tests {
     #[test]
     fn oversized_single_entry_still_ships() {
         let mut log = Oplog::new();
-        log.append(OplogKind::Insert { id: RecordId(1), payload: raw(&[0u8; 10_000]) });
+        log.append(OplogKind::Insert { id: RecordId(1), payload: raw(&[0u8; 10_000]) }).unwrap();
         let batch = log.take_batch(100);
         assert_eq!(batch.len(), 1, "a batch always makes progress");
         assert_eq!(log.pending(), 0);
@@ -563,7 +527,7 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             log.append(OplogKind::Insert { id: RecordId(1), payload: raw(b"one") }).unwrap();
             log.append(OplogKind::Delete { id: RecordId(2) }).unwrap();
             log.sync().unwrap();
@@ -574,7 +538,7 @@ mod tests {
         {
             // Recovery replays the full durable log (shipped entries are
             // re-shipped; replication apply is idempotent by id/LSN).
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             assert_eq!(log.pending(), 2);
             let batch = log.take_batch(usize::MAX);
             assert_eq!(batch[0].lsn, 0);
@@ -591,7 +555,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("dbdedup-oplog-torn-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             log.append(OplogKind::Delete { id: RecordId(1) }).unwrap();
             log.sync().unwrap();
         }
@@ -601,7 +565,7 @@ mod tests {
             let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[200, 0, 0, 0, 1, 2, 3]).unwrap(); // declares 200 bytes, has 3
         }
-        let log = DurableOplog::open(&path).unwrap();
+        let log = Oplog::open(&path).unwrap();
         assert_eq!(log.pending(), 1, "intact prefix replayed, torn tail dropped");
         let _ = std::fs::remove_file(&path);
     }
@@ -610,7 +574,8 @@ mod tests {
     fn shipped_entries_are_retained_for_cursor_reads() {
         let mut log = Oplog::new();
         for i in 0..10u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[i as u8; 50]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[i as u8; 50]) })
+                .unwrap();
         }
         let batch = log.take_batch(usize::MAX);
         assert_eq!(batch.len(), 10);
@@ -626,7 +591,7 @@ mod tests {
     fn read_from_spans_shipped_and_pending() {
         let mut log = Oplog::new();
         for i in 0..6u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let _ = log.take_batch(30); // ship a prefix
         let shipped = 6 - log.pending() as u64;
@@ -641,7 +606,7 @@ mod tests {
     fn read_from_below_floor_is_a_typed_gap() {
         let mut log = Oplog::with_retention(0); // trim everything shipped
         for i in 0..5u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let _ = log.take_batch(usize::MAX);
         assert_eq!(log.floor_lsn(), 5, "zero retention trims all shipped entries");
@@ -657,7 +622,7 @@ mod tests {
     fn ack_trims_retention_but_never_pending() {
         let mut log = Oplog::new();
         for i in 0..8u64 {
-            log.append(OplogKind::Delete { id: RecordId(i) });
+            log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
         }
         let taken = log.take_batch(20).len() as u64; // partial ship
         assert!(taken < 8);
@@ -672,7 +637,7 @@ mod tests {
     fn retention_budget_bounds_shipped_memory() {
         let mut log = Oplog::with_retention(200);
         for i in 0..50u64 {
-            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 40]) });
+            log.append(OplogKind::Insert { id: RecordId(i), payload: raw(&[0u8; 40]) }).unwrap();
         }
         let _ = log.take_batch(usize::MAX);
         assert!(log.floor_lsn() > 0, "old shipped entries must be trimmed");
@@ -689,13 +654,13 @@ mod tests {
             std::env::temp_dir().join(format!("dbdedup-oplog-cursor-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = DurableOplog::open(&path).unwrap();
+            let mut log = Oplog::open(&path).unwrap();
             for i in 0..4u64 {
                 log.append(OplogKind::Delete { id: RecordId(i) }).unwrap();
             }
             log.sync().unwrap();
         }
-        let log = DurableOplog::open(&path).unwrap();
+        let log = Oplog::open(&path).unwrap();
         assert_eq!(log.floor_lsn(), 0);
         assert_eq!(log.next_lsn(), 4);
         assert_eq!(log.read_from(2, usize::MAX).unwrap().len(), 2);

@@ -53,12 +53,12 @@ use dbdedup_util::codec::{ByteReader, ByteWriter};
 use dbdedup_util::hash::crc32::crc32;
 use dbdedup_util::hash::fx::FxHashMap;
 use dbdedup_util::ids::RecordId;
-use parking_lot::Mutex;
+use dbdedup_util::sync::lock_or_recover;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Magic prefix of every segment file.
 const SEG_MAGIC: &[u8; 8] = b"DBDPSEG\0";
@@ -508,7 +508,7 @@ impl RecordStore {
             let is_active = idx + 1 == count;
             self.scan_segment(idx, is_active, &mut live_sizes, &mut report)?;
         }
-        let inner = self.inner.get_mut();
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         inner.live_payload_bytes = live_sizes.values().map(|&(p, _)| p).sum();
         inner.live_uncompressed_bytes = live_sizes.values().map(|&(_, u)| u).sum();
         inner.active_idx = count.saturating_sub(1);
@@ -543,7 +543,7 @@ impl RecordStore {
         if buf.is_empty() {
             return Ok(()); // fresh segment; header written on open
         }
-        let inner = self.inner.get_mut();
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         if !header_valid(&buf) {
             if is_active {
                 // The whole active segment is unparseable (e.g. a crash
@@ -704,7 +704,7 @@ impl RecordStore {
         let parsed_head = parse_entry(&entry).map_err(StoreError::Corrupt)?;
         let (form, degraded) = (parsed_head.form, parsed_head.degraded_db.is_some());
         let fault = self.config.fault.as_deref();
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         if inner.active_off >= self.config.segment_bytes {
             inner.active_idx += 1;
@@ -759,12 +759,12 @@ impl RecordStore {
 
     /// Whether `id` is present.
     pub fn contains(&self, id: RecordId) -> bool {
-        self.inner.lock().directory.contains_key(&id)
+        lock_or_recover(&self.inner).directory.contains_key(&id)
     }
 
     /// Reads `id`, verifying the frame checksum before parsing.
     pub fn get(&self, id: RecordId) -> Result<StoredRecord, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let loc = *inner.directory.get(&id).ok_or(StoreError::NotFound(id))?;
         let raw = read_entry_bytes(inner, &self.dir, loc)?;
@@ -783,7 +783,7 @@ impl RecordStore {
 
     /// Number of live records.
     pub fn len(&self) -> usize {
-        self.inner.lock().directory.len()
+        lock_or_recover(&self.inner).directory.len()
     }
 
     /// Whether the store has no live records.
@@ -794,52 +794,52 @@ impl RecordStore {
     /// Live stored payload bytes, post block-compression — the storage
     /// footprint figures report.
     pub fn stored_payload_bytes(&self) -> u64 {
-        self.inner.lock().live_payload_bytes
+        lock_or_recover(&self.inner).live_payload_bytes
     }
 
     /// Live payload bytes before block compression (isolates dedup's own
     /// contribution from `blockz`'s).
     pub fn stored_uncompressed_bytes(&self) -> u64 {
-        self.inner.lock().live_uncompressed_bytes
+        lock_or_recover(&self.inner).live_uncompressed_bytes
     }
 
     /// Dead (superseded) bytes awaiting compaction.
     pub fn dead_bytes(&self) -> u64 {
-        self.inner.lock().dead_bytes
+        lock_or_recover(&self.inner).dead_bytes
     }
 
     /// Bytes of tombstone frames currently on disk. These are dead but
     /// not yet reclaimable: a tombstone must outlive every superseded put
     /// frame for its id or recovery would resurrect the record.
     pub fn tombstone_bytes(&self) -> u64 {
-        self.inner.lock().tomb_bytes
+        lock_or_recover(&self.inner).tomb_bytes
     }
 
     /// Dead bytes compaction can actually free right now (dead space
     /// minus still-needed tombstone frames). Background maintenance
     /// quiesces when this reaches zero.
     pub fn reclaimable_dead_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         inner.dead_bytes.saturating_sub(inner.tomb_bytes)
     }
 
     /// On-disk frame length of `id`'s live entry, if present. Lets the
     /// engine cost deleted-but-referenced records without reading them.
     pub fn entry_len(&self, id: RecordId) -> Option<u64> {
-        self.inner.lock().directory.get(&id).map(|loc| u64::from(loc.len))
+        lock_or_recover(&self.inner).directory.get(&id).map(|loc| u64::from(loc.len))
     }
 
     /// Where `id`'s live frame sits on disk: `(segment, offset, len)`.
     /// Diagnostic — fault-injection tests use it to aim corruption at a
     /// specific live record rather than at dead bytes.
     pub fn frame_extent(&self, id: RecordId) -> Option<(u32, u64, u32)> {
-        self.inner.lock().directory.get(&id).map(|loc| (loc.seg, loc.off, loc.len))
+        lock_or_recover(&self.inner).directory.get(&id).map(|loc| (loc.seg, loc.off, loc.len))
     }
 
     /// Cumulative I/O counters. With the block cache enabled, `reads`
     /// counts only cache misses that reached the file.
     pub fn io_stats(&self) -> IoStats {
-        self.inner.lock().io
+        lock_or_recover(&self.inner).io
     }
 
     /// The raw on-disk bytes of every segment file in segment order
@@ -848,7 +848,7 @@ impl RecordStore {
     /// is consistent between appends; a segment emptied by compaction
     /// reads as an empty vector.
     pub fn segment_bytes(&self) -> Result<Vec<Vec<u8>>, StoreError> {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         let mut out = Vec::with_capacity(inner.active_idx as usize + 1);
         for i in 0..=inner.active_idx {
             match fs::read(segment_path(&self.dir, i)) {
@@ -862,19 +862,19 @@ impl RecordStore {
 
     /// Block-cache (buffer pool) counters.
     pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.inner.lock().cache.stats()
+        lock_or_recover(&self.inner).cache.stats()
     }
 
     /// Lists every live record with its storage form (raw vs delta+base),
     /// without touching disk. Drives engine chain recovery after restart.
     pub fn live_forms(&self) -> Vec<(RecordId, StorageForm)> {
-        self.inner.lock().directory.iter().map(|(&id, loc)| (id, loc.form)).collect()
+        lock_or_recover(&self.inner).directory.iter().map(|(&id, loc)| (id, loc.form)).collect()
     }
 
     /// Whether `id`'s live frame carries the degraded tag (stored raw via
     /// the overload pass-through path and not yet re-deduplicated).
     pub fn is_degraded(&self, id: RecordId) -> bool {
-        self.inner.lock().directory.get(&id).map(|loc| loc.degraded).unwrap_or(false)
+        lock_or_recover(&self.inner).directory.get(&id).map(|loc| loc.degraded).unwrap_or(false)
     }
 
     /// Every live record still tagged degraded, with the logical database
@@ -884,7 +884,7 @@ impl RecordStore {
     /// An entry whose frame no longer reads back (quarantined mid-life)
     /// is skipped — anti-entropy owns damaged records, not re-dedup.
     pub fn degraded_records(&self) -> Result<Vec<(RecordId, String)>, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let tagged: Vec<(RecordId, Loc)> = inner
             .directory
@@ -912,7 +912,7 @@ impl RecordStore {
     /// The per-id counterpart of [`RecordStore::degraded_records`], used
     /// by the scrub's backlog-consistency check.
     pub fn degraded_db(&self, id: RecordId) -> Result<Option<String>, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let Some(&loc) = inner.directory.get(&id) else {
             return Ok(None);
@@ -944,7 +944,7 @@ impl RecordStore {
     /// every later segment.
     pub fn compact(&self) -> Result<CompactStats, StoreError> {
         let fault = self.config.fault.as_deref();
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let mut stats = CompactStats::default();
         let ids: Vec<RecordId> = inner.directory.keys().copied().collect();
@@ -1045,7 +1045,7 @@ impl RecordStore {
     /// replay order, wins).
     pub fn compact_step(&self, max_bytes: u64) -> Result<CompactStats, StoreError> {
         let fault = self.config.fault.as_deref();
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let mut stats = CompactStats::default();
         let mut spent = 0u64;
@@ -1302,7 +1302,7 @@ impl RecordStore {
     /// past the last segment it wraps to the start and the slice reports
     /// `pass_complete`.
     pub fn scrub_step(&self, max_bytes: u64) -> Result<VerifySlice, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let mut slice = VerifySlice::default();
         'outer: while slice.bytes_verified < max_bytes.max(1) {
@@ -1346,7 +1346,7 @@ impl RecordStore {
     /// The persistent scrub cursor as `(segment, offset)` — the next
     /// position [`RecordStore::scrub_step`] will verify from.
     pub fn scrub_position(&self) -> (u32, u64) {
-        let inner = self.inner.lock();
+        let inner = lock_or_recover(&self.inner);
         (inner.scrub.seg, inner.scrub.off)
     }
 
@@ -1357,7 +1357,7 @@ impl RecordStore {
     /// reclaims it; since it no longer passes CRC, a restart's salvage
     /// scan quarantines it again rather than resurrecting the record.
     pub fn quarantine(&self, id: RecordId) -> Result<Option<u64>, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
         let Some(old) = inner.directory.remove(&id) else {
             return Ok(None);
@@ -2005,9 +2005,7 @@ mod tests {
             for i in 0..40u64 {
                 s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
             }
-            first_seg_ids = s
-                .inner
-                .lock()
+            first_seg_ids = lock_or_recover(&s.inner)
                 .directory
                 .iter()
                 .filter(|(_, loc)| loc.seg == 0)
@@ -2232,7 +2230,7 @@ mod tests {
         let _ = s.get(RecordId(1)).unwrap();
         let _ = s.get(RecordId(2)).unwrap();
         let path = segment_path(&dir, 0);
-        let loc = s.inner.lock().directory[&RecordId(1)];
+        let loc = lock_or_recover(&s.inner).directory[&RecordId(1)];
         let mut buf = fs::read(&path).unwrap();
         buf[loc.off as usize + FRAME_HDR + 20] ^= 0x40;
         fs::write(&path, &buf).unwrap();
@@ -2280,7 +2278,7 @@ mod tests {
             s.put(RecordId(1), StorageForm::Raw, &[0x11; 250]).unwrap();
             s.put(RecordId(2), StorageForm::Raw, &[0x22; 250]).unwrap();
             // Rot record 1 on disk, then quarantine it like scrub would.
-            let loc = s.inner.lock().directory[&RecordId(1)];
+            let loc = lock_or_recover(&s.inner).directory[&RecordId(1)];
             let path = segment_path(&dir, 0);
             let mut buf = fs::read(&path).unwrap();
             buf[loc.off as usize + FRAME_HDR + 5] ^= 0x01;

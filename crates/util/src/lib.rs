@@ -21,6 +21,7 @@
 //! * [`backoff`] — the shared jittered-exponential, deadline-aware retry
 //!   policy used by replication apply, anti-entropy repair, and blocking
 //!   shipment.
+//! * [`sync`] — the one poison-tolerant `std::sync::Mutex` lock helper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +33,7 @@ pub mod fmt;
 pub mod hash;
 pub mod ids;
 pub mod stats;
+pub mod sync;
 pub mod time;
 
 pub use backoff::{Backoff, BackoffConfig};
