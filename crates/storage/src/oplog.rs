@@ -259,7 +259,8 @@ impl Oplog {
     /// Opens (or creates) a durable oplog at `path`, replaying any existing
     /// entries into the pending queue. Each entry is stored as a 4-byte
     /// little-endian length followed by its wire encoding; replay stops at
-    /// a torn or undecodable tail frame.
+    /// a torn or undecodable tail frame, and the file is truncated to the
+    /// replayed prefix so later appends extend valid frames, not garbage.
     pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         use std::io::Read;
         let mut file =
@@ -286,6 +287,9 @@ impl Oplog {
                 Err(_) => break, // corrupt tail: stop replay
             }
             off += 4 + len;
+        }
+        if off < buf.len() {
+            file.set_len(off as u64)?;
         }
         // Replayed entries are all pending again (re-shipping is idempotent
         // by id/LSN); the retention floor restarts at the replayed prefix.
@@ -567,6 +571,40 @@ mod tests {
         }
         let log = Oplog::open(&path).unwrap();
         assert_eq!(log.pending(), 1, "intact prefix replayed, torn tail dropped");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn durable_oplog_truncates_torn_tail_before_new_appends() {
+        let path =
+            std::env::temp_dir().join(format!("dbdedup-oplog-torn-append-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let insert = |id: u64| OplogKind::Insert { id: RecordId(id), payload: raw(b"revision") };
+        {
+            let mut log = Oplog::open(&path).unwrap();
+            log.append(insert(1)).unwrap();
+            log.append(insert(2)).unwrap();
+            log.sync().unwrap();
+        }
+        // Tear the last frame: cut 3 bytes off the file.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 3).unwrap();
+        {
+            let mut log = Oplog::open(&path).unwrap();
+            log.append(insert(3)).unwrap();
+            log.append(insert(4)).unwrap();
+            log.sync().unwrap();
+        }
+        let mut log = Oplog::open(&path).unwrap();
+        let replayed: Vec<(u64, RecordId)> = log
+            .take_batch(usize::MAX)
+            .into_iter()
+            .map(|e| match e.kind {
+                OplogKind::Insert { id, .. } => (e.lsn, id),
+                other => panic!("unexpected entry {other:?}"),
+            })
+            .collect();
+        assert_eq!(replayed, vec![(0, RecordId(1)), (1, RecordId(3)), (2, RecordId(4))]);
         let _ = std::fs::remove_file(&path);
     }
 

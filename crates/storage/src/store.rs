@@ -266,6 +266,28 @@ struct Loc {
     /// awaiting out-of-line re-dedup). Mirrors on-disk flag bit 3, so the
     /// degraded work-list survives restart through the recovery scan.
     degraded: bool,
+    /// Stored payload bytes of the entry (post block-compression) and its
+    /// payload bytes before compression. Carried here so an overwrite,
+    /// delete or quarantine can settle the live accounting without
+    /// reading the superseded frame back from disk.
+    payload: u32,
+    uncompressed: u32,
+}
+
+impl Loc {
+    /// The directory entry for `entry`, framed in `frame_len` bytes at
+    /// `seg`/`off`.
+    fn new(seg: u32, off: u64, frame_len: usize, entry: &ParsedEntry<'_>) -> Self {
+        Self {
+            seg,
+            off,
+            len: frame_len as u32,
+            form: entry.form,
+            degraded: entry.degraded_db.is_some(),
+            payload: entry.payload.len() as u32,
+            uncompressed: entry.uncompressed_len,
+        }
+    }
 }
 
 /// Resume point for incremental compaction: which sealed segment is being
@@ -333,6 +355,22 @@ struct Inner {
     scrub: ScrubCursor,
     io: IoStats,
     cache: BlockCache,
+}
+
+impl Inner {
+    /// Subtracts the sizes of a live entry leaving the directory.
+    fn forget_live(&mut self, loc: Loc) {
+        self.live_payload_bytes = self.live_payload_bytes.saturating_sub(u64::from(loc.payload));
+        self.live_uncompressed_bytes =
+            self.live_uncompressed_bytes.saturating_sub(u64::from(loc.uncompressed));
+    }
+
+    /// Recomputes the live totals from the directory.
+    fn recount_live(&mut self) {
+        self.live_payload_bytes = self.directory.values().map(|l| u64::from(l.payload)).sum();
+        self.live_uncompressed_bytes =
+            self.directory.values().map(|l| u64::from(l.uncompressed)).sum();
+    }
 }
 
 /// See module docs.
@@ -499,18 +537,16 @@ impl RecordStore {
         let mut report = RecoveryReport::default();
         // Replay every segment in order; the directory converges to the
         // latest *valid* entry per id, tombstones delete.
-        let mut live_sizes: FxHashMap<RecordId, (u64, u64)> = FxHashMap::default();
         let mut count = 0u32;
         while segment_path(&self.dir, count).exists() {
             count += 1;
         }
         for idx in 0..count {
             let is_active = idx + 1 == count;
-            self.scan_segment(idx, is_active, &mut live_sizes, &mut report)?;
+            self.scan_segment(idx, is_active, &mut report)?;
         }
         let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
-        inner.live_payload_bytes = live_sizes.values().map(|&(p, _)| p).sum();
-        inner.live_uncompressed_bytes = live_sizes.values().map(|&(_, u)| u).sum();
+        inner.recount_live();
         inner.active_idx = count.saturating_sub(1);
         inner.active = OpenOptions::new()
             .create(true)
@@ -534,7 +570,6 @@ impl RecordStore {
         &mut self,
         idx: u32,
         is_active: bool,
-        live_sizes: &mut FxHashMap<RecordId, (u64, u64)>,
         report: &mut RecoveryReport,
     ) -> Result<(), StoreError> {
         let path = segment_path(&self.dir, idx);
@@ -580,19 +615,12 @@ impl RecordStore {
                 // entry was *written* malformed; quarantine it like any
                 // other damage rather than trusting it.
                 if let Ok(parsed) = parse_entry(entry) {
-                    let loc = Loc {
-                        seg: idx,
-                        off: pos as u64,
-                        len: (FRAME_HDR + len) as u32,
-                        form: parsed.form,
-                        degraded: parsed.degraded_db.is_some(),
-                    };
+                    let loc = Loc::new(idx, pos as u64, FRAME_HDR + len, &parsed);
                     if parsed.tombstone {
                         if let Some(old) = inner.directory.remove(&parsed.id) {
                             inner.dead_bytes += u64::from(old.len);
                             *inner.stale_puts.entry(parsed.id).or_insert(0) += 1;
                         }
-                        live_sizes.remove(&parsed.id);
                         inner.dead_bytes += u64::from(loc.len);
                         inner.tomb_bytes += u64::from(loc.len);
                     } else {
@@ -600,10 +628,6 @@ impl RecordStore {
                             inner.dead_bytes += u64::from(old.len);
                             *inner.stale_puts.entry(parsed.id).or_insert(0) += 1;
                         }
-                        live_sizes.insert(
-                            parsed.id,
-                            (parsed.payload.len() as u64, u64::from(parsed.uncompressed_len)),
-                        );
                     }
                     report.entries_recovered += 1;
                     pos += FRAME_HDR + len;
@@ -667,7 +691,7 @@ impl RecordStore {
     /// no degraded flag, and the directory follows the latest frame).
     pub fn put(&self, id: RecordId, form: StorageForm, payload: &[u8]) -> Result<(), StoreError> {
         let entry = encode_entry(id, form, payload, self.config.block_compression, false, None);
-        self.append_entry(id, entry, payload.len() as u64, false)
+        self.append_entry(id, entry)
     }
 
     /// Writes `id` raw and tags the frame as **degraded**: admitted via
@@ -684,25 +708,18 @@ impl RecordStore {
             false,
             Some(db),
         );
-        self.append_entry(id, entry, payload.len() as u64, false)
+        self.append_entry(id, entry)
     }
 
     /// Removes `id`. Idempotent; a tombstone is appended so recovery sees
     /// the deletion.
     pub fn delete(&self, id: RecordId) -> Result<(), StoreError> {
         let entry = encode_entry(id, StorageForm::Raw, &[], false, true, None);
-        self.append_entry(id, entry, 0, true)
+        self.append_entry(id, entry)
     }
 
-    fn append_entry(
-        &self,
-        id: RecordId,
-        entry: Vec<u8>,
-        uncompressed_len: u64,
-        tombstone: bool,
-    ) -> Result<(), StoreError> {
-        let parsed_head = parse_entry(&entry).map_err(StoreError::Corrupt)?;
-        let (form, degraded) = (parsed_head.form, parsed_head.degraded_db.is_some());
+    fn append_entry(&self, id: RecordId, entry: Vec<u8>) -> Result<(), StoreError> {
+        let parsed = parse_entry(&entry).map_err(StoreError::Corrupt)?;
         let fault = self.config.fault.as_deref();
         let mut inner = lock_or_recover(&self.inner);
         let inner = &mut *inner;
@@ -724,35 +741,28 @@ impl RecordStore {
         if self.config.fsync {
             inner.active.sync_data()?;
         }
-        let loc =
-            Loc { seg: inner.active_idx, off: inner.active_off, len: total as u32, form, degraded };
+        let loc = Loc::new(inner.active_idx, inner.active_off, total, &parsed);
         inner.active_off += total as u64;
         inner.io.writes += 1;
         inner.io.write_bytes += total as u64;
 
-        // Directory + accounting.
-        let payload_len = entry_payload_len(&entry).expect("just encoded") as u64;
+        // Directory + accounting. The superseded frame is never read: its
+        // sizes ride in its directory entry, so even a rotted old frame is
+        // subtracted exactly.
         if let Some(old) = inner.directory.remove(&id) {
             inner.dead_bytes += u64::from(old.len);
             // The superseded put frame stays on disk until compaction; a
             // tombstone for this id must outlive it (see `stale_puts`).
             *inner.stale_puts.entry(id).or_insert(0) += 1;
-            // A damaged old entry has unknowable sizes; the overwrite
-            // heals the record, so skip the subtraction rather than fail
-            // the put.
-            if let Some((old_payload, old_uncompressed)) = read_live_sizes(inner, &self.dir, old)? {
-                inner.live_payload_bytes = inner.live_payload_bytes.saturating_sub(old_payload);
-                inner.live_uncompressed_bytes =
-                    inner.live_uncompressed_bytes.saturating_sub(old_uncompressed);
-            }
+            inner.forget_live(old);
         }
-        if tombstone {
+        if parsed.tombstone {
             inner.dead_bytes += total as u64;
             inner.tomb_bytes += total as u64;
         } else {
             inner.directory.insert(id, loc);
-            inner.live_payload_bytes += payload_len;
-            inner.live_uncompressed_bytes += uncompressed_len;
+            inner.live_payload_bytes += u64::from(loc.payload);
+            inner.live_uncompressed_bytes += u64::from(loc.uncompressed);
         }
         Ok(())
     }
@@ -966,7 +976,6 @@ impl RecordStore {
         fault_write(&mut new_file, fault, &segment_header())?;
         let mut new_off = SEG_HDR_LEN as u64;
         let mut new_dir = FxHashMap::default();
-        let (mut live_payload, mut live_uncompressed) = (0u64, 0u64);
         for id in ids {
             let loc = inner.directory[&id];
             let raw = match read_entry_bytes(inner, &self.dir, loc) {
@@ -981,20 +990,7 @@ impl RecordStore {
             fault_write(&mut new_file, fault, &raw)?;
             inner.io.writes += 1;
             inner.io.write_bytes += u64::from(loc.len);
-            if let Ok(p) = parse_entry(&raw[FRAME_HDR..]) {
-                live_payload += p.payload.len() as u64;
-                live_uncompressed += u64::from(p.uncompressed_len);
-            }
-            new_dir.insert(
-                id,
-                Loc {
-                    seg: new_idx,
-                    off: new_off,
-                    len: loc.len,
-                    form: loc.form,
-                    degraded: loc.degraded,
-                },
-            );
+            new_dir.insert(id, Loc { seg: new_idx, off: new_off, ..loc });
             new_off += u64::from(loc.len);
             stats.bytes_scanned += u64::from(loc.len);
         }
@@ -1014,8 +1010,7 @@ impl RecordStore {
         inner.tomb_bytes = 0;
         inner.stale_puts.clear();
         inner.cursor = None;
-        inner.live_payload_bytes = live_payload;
-        inner.live_uncompressed_bytes = live_uncompressed;
+        inner.recount_live();
         inner.cache.clear();
         stats.bytes_reclaimed = old_total.saturating_sub(new_off);
         Ok(stats)
@@ -1237,10 +1232,7 @@ impl RecordStore {
                     &frame,
                     self.config.segment_bytes,
                 )?;
-                inner.directory.insert(
-                    id,
-                    Loc { seg, off, len: total as u32, form: prev.form, degraded: prev.degraded },
-                );
+                inner.directory.insert(id, Loc { seg, off, ..prev });
                 cur.live_moved += total;
             } else if let Some(n) = inner.stale_puts.get_mut(&id) {
                 *n -= 1;
@@ -1265,18 +1257,19 @@ impl RecordStore {
     ) -> Result<u64, StoreError> {
         let seg = cur.seg;
         let from = cur.off;
-        let doomed: Vec<(RecordId, u64)> = inner
+        let doomed: Vec<(RecordId, Loc)> = inner
             .directory
             .iter()
             .filter(|(_, loc)| loc.seg == seg && loc.off >= from)
-            .map(|(&id, loc)| (id, u64::from(loc.len)))
+            .map(|(&id, &loc)| (id, loc))
             .collect();
-        for (id, len) in doomed {
+        for (id, loc) in doomed {
             inner.directory.remove(&id);
+            inner.forget_live(loc);
             // Count the lost entry as dead so the completion-time
             // subtraction (which assumes non-moved bytes were dead)
             // balances.
-            inner.dead_bytes += len;
+            inner.dead_bytes += u64::from(loc.len);
             inner.io.quarantined_entries += 1;
             stats.entries_skipped += 1;
         }
@@ -1364,14 +1357,9 @@ impl RecordStore {
         };
         inner.dead_bytes += u64::from(old.len);
         *inner.stale_puts.entry(id).or_insert(0) += 1;
-        // The cache may still hold the clean pre-damage copy: use it for
-        // the live-size subtraction (those are the sizes the put once
-        // added), then evict it so no read resurrects vanished data.
-        if let Some((payload, uncompressed)) = read_live_sizes(inner, &self.dir, old)? {
-            inner.live_payload_bytes = inner.live_payload_bytes.saturating_sub(payload);
-            inner.live_uncompressed_bytes =
-                inner.live_uncompressed_bytes.saturating_sub(uncompressed);
-        }
+        inner.forget_live(old);
+        // The cache may still hold the clean pre-damage copy: evict it so
+        // no read resurrects vanished data.
         inner.cache.remove(BlockKey { seg: old.seg, off: old.off });
         inner.io.quarantined_entries += 1;
         Ok(Some(u64::from(old.len)))
@@ -1496,24 +1484,6 @@ fn ensure_reader(inner: &mut Inner, dir: &Path, seg: u32) -> Result<(), StoreErr
     Ok(())
 }
 
-/// Payload sizes of the entry at `loc`, or `None` if it no longer
-/// verifies (damage is handled by the caller's accounting, not an error).
-fn read_live_sizes(
-    inner: &mut Inner,
-    dir: &Path,
-    loc: Loc,
-) -> Result<Option<(u64, u64)>, StoreError> {
-    let raw = match read_entry_bytes(inner, dir, loc) {
-        Ok(raw) => raw,
-        Err(StoreError::Corrupt(_)) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    match parse_entry(&raw[FRAME_HDR..]) {
-        Ok(p) => Ok(Some((p.payload.len() as u64, u64::from(p.uncompressed_len)))),
-        Err(_) => Ok(None),
-    }
-}
-
 struct ParsedEntry<'a> {
     id: RecordId,
     form: StorageForm,
@@ -1606,11 +1576,6 @@ fn parse_entry(entry: &[u8]) -> Result<ParsedEntry<'_>, String> {
         uncompressed_len,
         payload,
     })
-}
-
-fn entry_payload_len(entry: &[u8]) -> Result<usize, StoreError> {
-    let p = parse_entry(entry).map_err(StoreError::Corrupt)?;
-    Ok(p.payload.len())
 }
 
 #[cfg(test)]
@@ -2300,6 +2265,107 @@ mod tests {
             assert_eq!(report.skipped.len(), 1);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flips one payload byte of `id`'s live frame in segment 0.
+    fn rot_on_disk(s: &RecordStore, id: RecordId) {
+        let loc = lock_or_recover(&s.inner).directory[&id];
+        let path = segment_path(s.dir(), loc.seg);
+        let mut buf = fs::read(&path).unwrap();
+        buf[loc.off as usize + FRAME_HDR + 12] ^= 0x01;
+        fs::write(&path, &buf).unwrap();
+    }
+
+    #[test]
+    fn quarantine_of_rotted_frame_subtracts_its_exact_sizes() {
+        let cfg = StoreConfig { block_cache_bytes: 0, ..Default::default() };
+        let s = RecordStore::open_temp(cfg).unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &[0x11; 250]).unwrap();
+        s.put(RecordId(2), StorageForm::Raw, &[0x22; 250]).unwrap();
+        rot_on_disk(&s, RecordId(1));
+        assert!(s.quarantine(RecordId(1)).unwrap().is_some());
+        assert_eq!(s.stored_payload_bytes(), 250);
+        assert_eq!(s.stored_uncompressed_bytes(), 250);
+        s.put(RecordId(1), StorageForm::Raw, &[0x33; 250]).unwrap();
+        assert_eq!(s.stored_payload_bytes(), 500);
+        assert_eq!(s.stored_uncompressed_bytes(), 500);
+    }
+
+    #[test]
+    fn overwrite_of_rotted_frame_subtracts_its_exact_sizes() {
+        let cfg = StoreConfig { block_cache_bytes: 0, ..Default::default() };
+        let s = RecordStore::open_temp(cfg).unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &[0x11; 250]).unwrap();
+        s.put(RecordId(2), StorageForm::Raw, &[0x22; 250]).unwrap();
+        rot_on_disk(&s, RecordId(1));
+        s.put(RecordId(1), StorageForm::Raw, &[0x33; 100]).unwrap();
+        assert_eq!(&s.get(RecordId(1)).unwrap().payload[..], &[0x33; 100][..]);
+        assert_eq!(s.stored_payload_bytes(), 350);
+        assert_eq!(s.stored_uncompressed_bytes(), 350);
+    }
+
+    #[test]
+    fn overwrite_and_delete_never_read_the_superseded_frame() {
+        let cfg = StoreConfig { block_cache_bytes: 0, ..Default::default() };
+        let s = RecordStore::open_temp(cfg).unwrap();
+        s.put(RecordId(1), StorageForm::Raw, &[0x11; 22 << 10]).unwrap();
+        s.put(RecordId(2), StorageForm::Raw, &[0x22; 500]).unwrap();
+        s.put(RecordId(1), StorageForm::Delta { base: RecordId(2) }, &[0x33; 500]).unwrap();
+        s.delete(RecordId(2)).unwrap();
+        assert!(s.quarantine(RecordId(1)).unwrap().is_some());
+        let io = s.io_stats();
+        assert_eq!((io.reads, io.read_bytes), (0, 0));
+        assert_eq!(s.stored_payload_bytes(), 0);
+        assert_eq!(s.stored_uncompressed_bytes(), 0);
+    }
+
+    #[test]
+    fn live_sizes_survive_compaction_and_reopen_with_compression() {
+        let dir = temp_dir("live-sizes");
+        let cfg =
+            StoreConfig { segment_bytes: 4096, block_compression: true, ..Default::default() };
+        let text = b"the quick brown fox jumps over the lazy dog. ".repeat(20);
+        let (payload, uncompressed) = {
+            let s = RecordStore::open(&dir, cfg.clone()).unwrap();
+            for i in 0..40u64 {
+                s.put(RecordId(i), StorageForm::Raw, &text[..400 + i as usize]).unwrap();
+            }
+            for i in 0..20u64 {
+                s.delete(RecordId(i)).unwrap();
+            }
+            let before = (s.stored_payload_bytes(), s.stored_uncompressed_bytes());
+            assert!(before.0 < before.1, "compression shrank the stored bytes");
+            while !s.compact_step(2048).unwrap().is_noop() {}
+            assert_eq!((s.stored_payload_bytes(), s.stored_uncompressed_bytes()), before);
+            assert!(s.compact().unwrap().segments_rewritten > 0);
+            assert_eq!((s.stored_payload_bytes(), s.stored_uncompressed_bytes()), before);
+            before
+        };
+        let s = RecordStore::open(&dir, cfg).unwrap();
+        assert_eq!(s.stored_payload_bytes(), payload);
+        assert_eq!(s.stored_uncompressed_bytes(), uncompressed);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_salvage_subtracts_the_records_it_drops() {
+        let cfg = StoreConfig { segment_bytes: 2048, block_cache_bytes: 0, ..Default::default() };
+        let s = RecordStore::open_temp(cfg).unwrap();
+        for i in 0..20u64 {
+            s.put(RecordId(i), StorageForm::Raw, &[i as u8; 200]).unwrap();
+        }
+        // Dead space in sealed segment 0 makes it the compaction victim;
+        // damage ahead of its live frames drops them with the rest.
+        s.delete(RecordId(0)).unwrap();
+        rot_on_disk(&s, RecordId(1));
+        while !s.compact_step(1 << 20).unwrap().is_noop() {}
+        let live: u64 = (0..20u64)
+            .filter(|&i| s.contains(RecordId(i)))
+            .map(|i| s.get(RecordId(i)).unwrap().payload.len() as u64)
+            .sum();
+        assert!(s.len() < 19, "the damaged segment's live records were dropped");
+        assert_eq!(s.stored_payload_bytes(), live);
+        assert_eq!(s.stored_uncompressed_bytes(), live);
     }
 
     #[test]

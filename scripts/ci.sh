@@ -95,4 +95,20 @@ cargo clippy -q -p dbdedup-chunker -- -D warnings
 cargo test -q -p dbdedup-chunker
 cargo test -q --test differential gear
 
+# Storage hot path: clippy-clean util and storage crates, the sliced
+# CRC-32 differential suite against the bytewise oracle (every short
+# length x alignment, random lengths to 128 KiB, every incremental
+# split, a pinned 1 MiB checksum), the exact live-size accounting tests
+# (quarantine and overwrite of a rotted frame; overwrite/delete never
+# read the superseded frame), and the durable-oplog torn-tail truncation
+# regression.
+echo "==> storage-smoke"
+cargo clippy -q -p dbdedup-util -p dbdedup-storage -- -D warnings
+cargo test -q -p dbdedup-util --lib hash::crc32
+cargo test -q -p dbdedup-storage --lib -- \
+    store::tests::quarantine_of_rotted_frame_subtracts_its_exact_sizes \
+    store::tests::overwrite_of_rotted_frame_subtracts_its_exact_sizes \
+    store::tests::overwrite_and_delete_never_read_the_superseded_frame \
+    oplog::tests::durable_oplog_truncates_torn_tail_before_new_appends
+
 echo "==> ci.sh: all green"
